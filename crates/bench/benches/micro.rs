@@ -1,5 +1,4 @@
-//! Micro-benchmarks of the substrate hot paths: marshaling, vector clocks,
-//! the event queue, the group endpoint's multicast/delivery path, the
+//! Micro-benchmarks of the substrate hot paths: marshaling, the event queue, the group endpoint's multicast/delivery path, the
 //! replication engine, checkpoint capture and the scalability planner.
 
 use bytes::Bytes;
@@ -13,7 +12,6 @@ use vd_group::config::GroupConfig;
 use vd_group::endpoint::Endpoint;
 use vd_group::message::GroupId;
 use vd_group::order::DeliveryOrder;
-use vd_group::vclock::VectorClock;
 use vd_orb::cdr::{Decoder, Encoder};
 use vd_orb::object::ObjectKey;
 use vd_orb::wire::{OrbMessage, Request};
@@ -57,24 +55,6 @@ fn bench_wire(bench: &Bench) {
     bench.run("giop_decode_request", || {
         OrbMessage::decode(bytes.clone()).unwrap()
     });
-}
-
-fn bench_vclock(bench: &Bench) {
-    let mut a = VectorClock::new();
-    let mut m = VectorClock::new();
-    for i in 0..16u64 {
-        a.set(ProcessId(i), i * 3);
-        m.set(ProcessId(i), i * 2);
-    }
-    bench.run_batched(
-        "vclock_merge_16",
-        || a.clone(),
-        |mut clock| {
-            clock.merge(&m);
-            clock
-        },
-    );
-    bench.run("vclock_deliverable_16", || a.deliverable(ProcessId(3), &m));
 }
 
 fn bench_histogram(bench: &Bench) {
@@ -185,7 +165,6 @@ fn main() {
     let bench = Bench::new(20);
     bench_cdr(&bench);
     bench_wire(&bench);
-    bench_vclock(&bench);
     bench_histogram(&bench);
     bench_group_multicast(&bench);
     bench_engine(&bench);

@@ -6,6 +6,7 @@ use bytes::Bytes;
 
 use vd_core::prelude::*;
 use vd_group::message::GroupId;
+use vd_obs::{Ctr, Obs, ObsHandle};
 use vd_orb::sim::{DriverConfig, RequestDriver};
 use vd_simnet::prelude::*;
 use vd_simnet::time::SimDuration;
@@ -51,6 +52,8 @@ struct Cluster {
     world: World,
     replicas: Vec<ProcessId>,
     clients: Vec<ProcessId>,
+    /// Each replica's observability handle (`obs[i]` is `replicas[i]`'s).
+    obs: Vec<ObsHandle>,
 }
 
 /// Builds `n_replicas` replicas (nodes 0..n) and `n_clients` clients
@@ -64,11 +67,15 @@ fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) 
     let mut world = World::new(topo, seed);
     let members: Vec<ProcessId> = (0..n_replicas as u64).map(ProcessId).collect();
     let mut replicas = Vec::new();
+    let mut obs = Vec::new();
     for i in 0..n_replicas {
+        let replica_obs = Obs::disabled();
+        obs.push(replica_obs.clone());
         let config = ReplicaConfig {
             knobs: LowLevelKnobs::default()
                 .style(style)
                 .num_replicas(n_replicas as usize),
+            obs: replica_obs,
             ..ReplicaConfig::for_group(GroupId(1))
         };
         let pid = world.spawn(
@@ -106,6 +113,7 @@ fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) 
         world,
         replicas,
         clients,
+        obs,
     }
 }
 
@@ -162,6 +170,39 @@ fn warm_passive_only_primary_executes() {
         );
         // But checkpoints kept its state close to the primary's.
         assert!(counter_value(&replica_state(&c.world, r)) > 0);
+    }
+}
+
+#[test]
+fn executed_counter_matches_each_replicas_executions() {
+    // `replicator.executed` counts invocations actually executed: every
+    // replica under active replication, only the primary under warm
+    // passive. The registry must agree with the engine's own count.
+    for (style, seed) in [
+        (ReplicationStyle::Active, 11),
+        (ReplicationStyle::WarmPassive, 12),
+    ] {
+        let mut c = cluster(3, 1, style, seed);
+        c.world.run_for(SimDuration::from_secs(5));
+        assert_eq!(completed(&c.world, c.clients[0]), 200);
+        for (&r, obs) in c.replicas.iter().zip(&c.obs) {
+            let executed = c
+                .world
+                .actor_ref::<ReplicaActor>(r)
+                .unwrap()
+                .executed_requests();
+            assert_eq!(
+                obs.metrics.counter(Ctr::RepExecuted),
+                executed,
+                "{style:?}: replica {r}'s registry disagrees with its engine"
+            );
+        }
+        let total: u64 = c
+            .obs
+            .iter()
+            .map(|o| o.metrics.counter(Ctr::RepExecuted))
+            .sum();
+        assert!(total >= 200, "{style:?}: executions were counted ({total})");
     }
 }
 

@@ -23,8 +23,8 @@ pub struct Delivery {
     pub sender: ProcessId,
     /// The guarantee it was sent with.
     pub order: DeliveryOrder,
-    /// Per-sender sequence number (absent for best-effort).
-    pub seq: Option<u64>,
+    /// Per-sender sequence number.
+    pub seq: u64,
     /// Position in the agreed total order (agreed messages only).
     pub global_seq: Option<u64>,
     /// The view the message was sent in.
@@ -124,7 +124,7 @@ mod tests {
             group: GroupId(0),
             sender: ProcessId(1),
             order: DeliveryOrder::Fifo,
-            seq: Some(1),
+            seq: 1,
             global_seq: None,
             view_id: ViewId(0),
             payload: Bytes::from_static(b"x"),

@@ -1,8 +1,8 @@
 //! The group-communication endpoint: one per member per group.
 //!
 //! An [`Endpoint`] implements, sans-IO, the whole Spread-like protocol the
-//! paper's replicator consumes: reliable multicast with four delivery
-//! guarantees, heartbeat failure detection, stability-based garbage
+//! paper's replicator consumes: reliable multicast with FIFO and agreed
+//! delivery, heartbeat failure detection, stability-based garbage
 //! collection, and view-synchronous membership (see [`crate::flush`]).
 //!
 //! Hosts drive it with four calls — [`Endpoint::start`],
@@ -25,12 +25,9 @@ use crate::config::GroupConfig;
 use crate::flush::{
     compute_cut, filter_assignments_to_cut, merge_assignments, FlushPhase, FlushProgress,
 };
-use crate::message::{
-    fold_vclock, fold_view, Assignment, DataMsg, FlushHoldings, GroupId, GroupMsg,
-};
+use crate::message::{fold_view, Assignment, DataMsg, FlushHoldings, GroupId, GroupMsg};
 use crate::order::DeliveryOrder;
 use crate::stream::SenderStream;
-use crate::vclock::VectorClock;
 use crate::view::{View, ViewId};
 
 /// Error returned when an application multicast cannot be accepted.
@@ -71,7 +68,6 @@ enum Status {
 #[derive(Debug, Clone)]
 struct InstallRecord {
     view: View,
-    causal_after: Arc<VectorClock>,
     next_global: u64,
 }
 
@@ -136,7 +132,6 @@ pub struct Endpoint {
 
     // --- sending ---
     next_send_seq: u64,
-    causal_sends: u64,
     pending_sends: Vec<(DeliveryOrder, Bytes)>,
     /// Messages coalesced for the next batched frame (batching enabled only
     /// when `config.batch_max_messages > 1`).
@@ -150,7 +145,6 @@ pub struct Endpoint {
 
     // --- receiving ---
     streams: BTreeMap<ProcessId, SenderStream>,
-    delivered_clock: VectorClock,
 
     // --- agreed (total) order ---
     assignments: BTreeMap<u64, (ProcessId, u64)>,
@@ -227,7 +221,6 @@ impl Endpoint {
             view,
             external_fd: false,
             next_send_seq: 0,
-            causal_sends: 0,
             pending_sends: Vec::new(),
             batch: Vec::new(),
             batch_timer_armed: false,
@@ -235,7 +228,6 @@ impl Endpoint {
             obs: Obs::disabled(),
             now_us: 0,
             streams: BTreeMap::new(),
-            delivered_clock: VectorClock::new(),
             assignments: BTreeMap::new(),
             next_global_deliver: 1,
             next_assign: 1,
@@ -491,21 +483,7 @@ impl Endpoint {
         }
         // …and loop the message back to ourselves through the normal path,
         // so self-delivery obeys the same ordering rules.
-        if msg.order == DeliveryOrder::BestEffort {
-            self.stats.deliveries += 1;
-            self.obs.metrics.incr(Ctr::GroupDeliveries);
-            out.push(Output::Event(GroupEvent::Delivered(Delivery {
-                group: self.group,
-                sender: self.me,
-                order: msg.order,
-                seq: None,
-                global_seq: None,
-                view_id: msg.view_id,
-                payload: msg.payload,
-            })));
-        } else {
-            self.accept_data(now, msg, &mut out);
-        }
+        self.accept_data(now, msg, &mut out);
         Ok(out)
     }
 
@@ -592,27 +570,13 @@ impl Endpoint {
     // ---- message construction ----------------------------------------------
 
     fn make_data(&mut self, order: DeliveryOrder, payload: Bytes) -> DataMsg {
-        let (seq, vclock) = match order {
-            DeliveryOrder::BestEffort => (None, None),
-            DeliveryOrder::Causal => {
-                self.next_send_seq += 1;
-                self.causal_sends += 1;
-                let mut vc = self.delivered_clock.clone();
-                vc.set(self.me, self.causal_sends);
-                (Some(self.next_send_seq), Some(Arc::new(vc)))
-            }
-            DeliveryOrder::Fifo | DeliveryOrder::Agreed => {
-                self.next_send_seq += 1;
-                (Some(self.next_send_seq), None)
-            }
-        };
+        self.next_send_seq += 1;
         DataMsg {
             group: self.group,
             view_id: self.view.id(),
             sender: self.me,
-            seq,
+            seq: self.next_send_seq,
             order,
-            vclock,
             payload,
         }
     }
@@ -679,31 +643,13 @@ impl Endpoint {
                 self.handle_flush_done(now, from, proposal_id, &mut out)
             }
             GroupMsg::InstallView {
-                view,
-                causal_after,
-                next_global,
-                ..
-            } => self.handle_install(now, view, causal_after, next_global, &mut out),
+                view, next_global, ..
+            } => self.handle_install(now, view, next_global, &mut out),
         }
         out
     }
 
     fn handle_data(&mut self, now: SimTime, from: ProcessId, d: DataMsg, out: &mut Vec<Output>) {
-        if d.order == DeliveryOrder::BestEffort {
-            // Unsequenced, unordered: deliver on arrival.
-            self.stats.deliveries += 1;
-            self.obs.metrics.incr(Ctr::GroupDeliveries);
-            out.push(Output::Event(GroupEvent::Delivered(Delivery {
-                group: self.group,
-                sender: d.sender,
-                order: d.order,
-                seq: None,
-                global_seq: None,
-                view_id: d.view_id,
-                payload: d.payload,
-            })));
-            return;
-        }
         if d.view_id > self.view.id() {
             // Sent in a view we have not installed yet.
             self.future_msgs.push((from, GroupMsg::Data(d)));
@@ -716,8 +662,8 @@ impl Endpoint {
         self.accept_data(now, d, out);
     }
 
-    /// Accepts reliable data into its sender stream and runs the delivery
-    /// and sequencer machinery.
+    /// Accepts data into its sender stream and runs the delivery and
+    /// sequencer machinery.
     fn accept_data(&mut self, now: SimTime, d: DataMsg, out: &mut Vec<Output>) {
         let sender = d.sender;
         let is_new = self.streams.entry(sender).or_default().accept(d);
@@ -929,70 +875,41 @@ impl Endpoint {
 
     // ---- delivery engine ----------------------------------------------------
 
-    /// Delivers every message that has become deliverable, to fixpoint.
+    /// Delivers every message that has become deliverable. Agreed and FIFO
+    /// messages advance independent per-sender cursors (each skips the
+    /// other class), so delivering one class never unblocks the other and
+    /// a single pass reaches the fixpoint.
     fn try_deliver(&mut self, out: &mut Vec<Output>) {
-        loop {
-            let mut progress = false;
-            // Agreed total order: follow the global cursor.
-            while let Some(&(sender, seq)) = self.assignments.get(&self.next_global_deliver) {
-                let Some(stream) = self.streams.get_mut(&sender) else {
+        // Agreed total order: follow the global cursor.
+        while let Some(&(sender, seq)) = self.assignments.get(&self.next_global_deliver) {
+            let Some(stream) = self.streams.get_mut(&sender) else {
+                break;
+            };
+            // The global order respects per-sender order, so the agreed
+            // cursor must be exactly at `seq` once ready.
+            if stream.peek_class(DeliveryOrder::Agreed) != Some(seq) {
+                break;
+            }
+            let Some(msg) = stream.get(seq).cloned() else {
+                break;
+            };
+            stream.mark_delivered(DeliveryOrder::Agreed);
+            let g = self.next_global_deliver;
+            self.next_global_deliver += 1;
+            self.emit_delivery(&msg, Some(g), out);
+        }
+        // FIFO: each sender's messages in send order.
+        let senders: Vec<ProcessId> = self.streams.keys().copied().collect();
+        for s in senders {
+            while let Some(stream) = self.streams.get_mut(&s) {
+                let Some(seq) = stream.peek_class(DeliveryOrder::Fifo) else {
                     break;
                 };
-                // The global order respects per-sender order, so the agreed
-                // cursor must be exactly at `seq` once ready.
-                if stream.peek_class(DeliveryOrder::Agreed) != Some(seq) {
-                    break;
-                }
                 let Some(msg) = stream.get(seq).cloned() else {
                     break;
                 };
-                stream.mark_delivered(DeliveryOrder::Agreed);
-                let g = self.next_global_deliver;
-                self.next_global_deliver += 1;
-                self.emit_delivery(&msg, Some(g), out);
-                progress = true;
-            }
-            // FIFO and causal: per-sender class cursors.
-            let senders: Vec<ProcessId> = self.streams.keys().copied().collect();
-            for s in senders {
-                while let Some(stream) = self.streams.get_mut(&s) {
-                    let Some(seq) = stream.peek_class(DeliveryOrder::Fifo) else {
-                        break;
-                    };
-                    let Some(msg) = stream.get(seq).cloned() else {
-                        break;
-                    };
-                    stream.mark_delivered(DeliveryOrder::Fifo);
-                    self.emit_delivery(&msg, None, out);
-                    progress = true;
-                }
-                while let Some(stream) = self.streams.get_mut(&s) {
-                    let Some(seq) = stream.peek_class(DeliveryOrder::Causal) else {
-                        break;
-                    };
-                    let Some(msg) = stream.get(seq).cloned() else {
-                        break;
-                    };
-                    // A causal message always carries its clock; a missing
-                    // one means the stream is corrupt — stop delivering from
-                    // it rather than panic.
-                    let Some(vc) = msg.vclock.clone() else {
-                        break;
-                    };
-                    if !self.delivered_clock.deliverable(s, &vc) {
-                        break;
-                    }
-                    let stamp = vc.get(s);
-                    if let Some(stream) = self.streams.get_mut(&s) {
-                        stream.mark_delivered(DeliveryOrder::Causal);
-                    }
-                    self.delivered_clock.set(s, stamp);
-                    self.emit_delivery(&msg, None, out);
-                    progress = true;
-                }
-            }
-            if !progress {
-                break;
+                stream.mark_delivered(DeliveryOrder::Fifo);
+                self.emit_delivery(&msg, None, out);
             }
         }
     }
@@ -1004,7 +921,7 @@ impl Endpoint {
             self.now_us,
             self.me.0,
             EventKind::GroupDeliver {
-                seq: global_seq.or(msg.seq).unwrap_or(0),
+                seq: global_seq.unwrap_or(msg.seq),
             },
         );
         out.push(Output::Event(GroupEvent::Delivered(Delivery {
@@ -1507,7 +1424,6 @@ impl Endpoint {
                     msg: GroupMsg::InstallView {
                         group: self.group,
                         view: record.view.clone(),
-                        causal_after: record.causal_after.clone(),
                         next_global: record.next_global,
                     },
                 });
@@ -1525,7 +1441,7 @@ impl Endpoint {
     }
 
     fn leader_check_done(&mut self, now: SimTime, out: &mut Vec<Output>) {
-        let (view, participants, cut, next_global) = {
+        let (view, participants, next_global) = {
             let Some(flush) = &self.flush else {
                 return;
             };
@@ -1543,15 +1459,12 @@ impl Endpoint {
             (
                 flush.proposal.clone(),
                 flush.participants.clone(),
-                flush.cut.clone().unwrap_or_default(),
                 next_global,
             )
         };
-        let causal_after = Arc::new(self.compute_causal_after(&cut));
         let msg = GroupMsg::InstallView {
             group: self.group,
             view: view.clone(),
-            causal_after: causal_after.clone(),
             next_global,
         };
         for &m in &participants {
@@ -1564,32 +1477,9 @@ impl Endpoint {
         }
         self.last_install = Some(InstallRecord {
             view: view.clone(),
-            causal_after: causal_after.clone(),
             next_global,
         });
-        self.handle_install(now, view, causal_after, next_global, out);
-    }
-
-    /// The causal clock after delivering everything up to the cut: per
-    /// sender, the highest causal stamp among buffered causal messages
-    /// within the cut, or the already-delivered stamp.
-    fn compute_causal_after(&self, cut: &BTreeMap<ProcessId, u64>) -> VectorClock {
-        let mut vc = self.delivered_clock.clone();
-        for (&sender, &limit) in cut {
-            if let Some(stream) = self.streams.get(&sender) {
-                for seq in 1..=limit {
-                    if let Some(msg) = stream.get(seq) {
-                        if msg.order == DeliveryOrder::Causal {
-                            let stamp = msg.vclock.as_ref().map(|c| c.get(sender)).unwrap_or(0);
-                            if stamp > vc.get(sender) {
-                                vc.set(sender, stamp);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        vc
+        self.handle_install(now, view, next_global, out);
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1597,7 +1487,6 @@ impl Endpoint {
         &mut self,
         now: SimTime,
         view: View,
-        causal_after: Arc<VectorClock>,
         next_global: u64,
         out: &mut Vec<Output>,
     ) {
@@ -1623,7 +1512,6 @@ impl Endpoint {
                 self.streams
                     .insert(sender, SenderStream::starting_after(limit));
             }
-            self.delivered_clock = (*causal_after).clone();
             self.next_global_deliver = next_global;
             self.assignments.clear();
         } else {
@@ -1665,11 +1553,10 @@ impl Endpoint {
                 }
                 self.next_global_deliver = self.next_global_deliver.max(g + 1);
             }
-            // Deliver any fifo/causal unblocked by the skips.
+            // Deliver anything the skips unblocked.
             self.try_deliver(out);
             self.next_global_deliver = self.next_global_deliver.max(next_global);
             self.assignments.clear();
-            self.delivered_clock = (*causal_after).clone();
         }
 
         // Swap in the new view.
@@ -1694,7 +1581,6 @@ impl Endpoint {
             let stable = stream.contiguous();
             stream.prune(stable);
         }
-        self.delivered_clock.retain_members(view.members());
         self.suspected.retain(|m| view.contains(*m));
         self.pending_joins.retain(|m| !view.contains(*m));
         self.pending_leaves.retain(|m| view.contains(*m));
@@ -2088,12 +1974,9 @@ impl Endpoint {
         h.write_u8(u8::from(self.external_fd));
 
         h.write_u64(self.next_send_seq);
-        h.write_u64(self.causal_sends);
         for (order, payload) in &self.pending_sends {
             h.write_u8(match order {
-                DeliveryOrder::BestEffort => 0,
                 DeliveryOrder::Fifo => 1,
-                DeliveryOrder::Causal => 2,
                 DeliveryOrder::Agreed => 3,
             });
             h.write_bytes(payload);
@@ -2107,7 +1990,6 @@ impl Endpoint {
             h.write_u64(sender.0);
             stream.fold_digest(&mut h);
         }
-        fold_vclock(&mut h, &self.delivered_clock);
 
         for (&global, &(sender, seq)) in &self.assignments {
             h.write_u64(global);
@@ -2183,7 +2065,6 @@ impl Endpoint {
         if let Some(record) = &self.last_install {
             h.write_u8(1);
             fold_view(&mut h, &record.view);
-            fold_vclock(&mut h, &record.causal_after);
             h.write_u64(record.next_global);
         } else {
             h.write_u8(0);

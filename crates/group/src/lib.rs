@@ -10,8 +10,8 @@
 //!   — the paper's fault-monitoring knobs ([`config`]),
 //! * **reliable multicast** with NACK-based retransmission and
 //!   stability-based garbage collection (the [`stream`] module),
-//! * the four Spread **delivery guarantees**: best effort, FIFO, causal and
-//!   agreed (total) order ([`order`], [`vclock`]),
+//! * the two Spread **delivery guarantees** the replicator uses: FIFO (for
+//!   checkpoints) and agreed total order (for everything else) ([`order`]),
 //! * **virtual synchrony**: a flush protocol guaranteeing all survivors
 //!   deliver the same messages before a membership change, with fault
 //!   notifications totally ordered with respect to data ([`flush`]).
@@ -52,7 +52,6 @@ pub mod order;
 pub mod sim;
 pub mod stream;
 pub mod transport;
-pub mod vclock;
 pub mod view;
 
 /// The most commonly used names, for glob import.
@@ -67,6 +66,5 @@ pub mod prelude {
     };
     pub use crate::order::DeliveryOrder;
     pub use crate::sim::{GroupMemberActor, MultiCommand, MultiGroupMemberActor};
-    pub use crate::vclock::VectorClock;
     pub use crate::view::{View, ViewId};
 }

@@ -5,12 +5,12 @@
 //! realistic byte counts, which is what the paper's Fig. 7(b) bandwidth
 //! results hinge on.
 //!
-//! Variable-length bodies (payloads, ack vectors, assignment batches, cuts,
-//! causal clocks) are held behind shared buffers (`Bytes`/`Arc`) so the
-//! endpoint's per-member fan-out, retransmit buffer and flush re-broadcast
-//! paths all alias one encoding: cloning a `GroupMsg` is a reference-count
-//! bump, never a body copy (see DESIGN.md, "Data-plane allocation and
-//! batching contract").
+//! Variable-length bodies (payloads, ack vectors, assignment batches, cuts)
+//! are held behind shared buffers (`Bytes`/`Arc`) so the endpoint's
+//! per-member fan-out, retransmit buffer and flush re-broadcast paths all
+//! alias one encoding: cloning a `GroupMsg` is a reference-count bump, never
+//! a body copy (see DESIGN.md, "Data-plane allocation and batching
+//! contract").
 
 use std::sync::Arc;
 
@@ -20,7 +20,6 @@ use vd_simnet::explore::Fnv64;
 use vd_simnet::topology::ProcessId;
 
 use crate::order::DeliveryOrder;
-use crate::vclock::VectorClock;
 use crate::view::{View, ViewId};
 
 /// Folds a view's identity (id + membership) into an exploration digest.
@@ -28,14 +27,6 @@ pub(crate) fn fold_view(h: &mut Fnv64, view: &View) {
     h.write_u64(view.id().0);
     for &m in view.members() {
         h.write_u64(m.0);
-    }
-}
-
-/// Folds a vector clock's non-zero components into an exploration digest.
-pub(crate) fn fold_vclock(h: &mut Fnv64, vc: &VectorClock) {
-    for (m, v) in vc.iter() {
-        h.write_u64(m.0);
-        h.write_u64(v);
     }
 }
 
@@ -64,14 +55,11 @@ pub struct DataMsg {
     pub view_id: ViewId,
     /// The multicasting member.
     pub sender: ProcessId,
-    /// Per-sender sequence number (`None` for best-effort traffic, which is
-    /// neither sequenced nor retransmitted).
-    pub seq: Option<u64>,
+    /// Per-sender sequence number: every message is sequenced and
+    /// retransmitted on loss.
+    pub seq: u64,
     /// Requested delivery guarantee.
     pub order: DeliveryOrder,
-    /// Causal timestamp (present only for causal messages). Shared so the
-    /// per-member fan-out of a causal multicast aliases one clock.
-    pub vclock: Option<Arc<VectorClock>>,
     /// Opaque application bytes.
     pub payload: Bytes,
 }
@@ -79,17 +67,13 @@ pub struct DataMsg {
 impl DataMsg {
     /// Estimated bytes on the wire.
     pub fn wire_size(&self) -> usize {
-        HEADER_BYTES + self.body_size()
+        HEADER_BYTES + self.payload.len()
     }
 
     /// Bytes this message contributes inside a batched frame: its body plus
     /// a small sub-header, with the full header paid once per batch.
     pub fn batched_wire_size(&self) -> usize {
-        BATCH_SUBHEADER_BYTES + self.body_size()
-    }
-
-    fn body_size(&self) -> usize {
-        self.payload.len() + self.vclock.as_ref().map_or(0, |vc| vc.len() * PAIR_BYTES)
+        BATCH_SUBHEADER_BYTES + self.payload.len()
     }
 
     /// Folds the full message identity — headers, ordering metadata and
@@ -98,25 +82,11 @@ impl DataMsg {
         h.write_u64(u64::from(self.group.0));
         h.write_u64(self.view_id.0);
         h.write_u64(self.sender.0);
-        match self.seq {
-            None => h.write_u8(0),
-            Some(s) => {
-                h.write_u8(1);
-                h.write_u64(s);
-            }
-        }
+        h.write_u64(self.seq);
         h.write_u8(match self.order {
-            DeliveryOrder::BestEffort => 0,
             DeliveryOrder::Fifo => 1,
-            DeliveryOrder::Causal => 2,
             DeliveryOrder::Agreed => 3,
         });
-        if let Some(vc) = &self.vclock {
-            h.write_u8(1);
-            fold_vclock(h, vc);
-        } else {
-            h.write_u8(0);
-        }
         h.write_u64(self.payload.len() as u64);
         h.write_bytes(&self.payload);
     }
@@ -297,9 +267,6 @@ pub enum GroupMsg {
         group: GroupId,
         /// The new agreed view.
         view: View,
-        /// Causal-clock state at the cut (adopted by joiners). Shared
-        /// across the broadcast and straggler re-sends.
-        causal_after: Arc<VectorClock>,
         /// The next free agreed-order slot after the cut.
         next_global: u64,
     },
@@ -348,9 +315,7 @@ impl Payload for GroupMsg {
                 ..
             } => HEADER_BYTES + cut.len() * PAIR_BYTES + final_assignments.len() * (PAIR_BYTES + 8),
             GroupMsg::FlushDone { .. } => HEADER_BYTES,
-            GroupMsg::InstallView {
-                view, causal_after, ..
-            } => HEADER_BYTES + view.len() * 8 + causal_after.len() * PAIR_BYTES + 8,
+            GroupMsg::InstallView { view, .. } => HEADER_BYTES + view.len() * 8 + 8,
         }
     }
 
@@ -480,13 +445,11 @@ impl Payload for GroupMsg {
             GroupMsg::InstallView {
                 group,
                 view,
-                causal_after,
                 next_global,
             } => {
                 h.write_u8(14);
                 h.write_u64(u64::from(group.0));
                 fold_view(&mut h, view);
-                fold_vclock(&mut h, causal_after);
                 h.write_u64(*next_global);
             }
         }
@@ -505,32 +468,20 @@ mod tests {
         ProcessId(n)
     }
 
-    fn data(payload_len: usize, vclock: Option<VectorClock>) -> DataMsg {
+    fn data(payload_len: usize) -> DataMsg {
         DataMsg {
             group: GROUP,
             view_id: ViewId(0),
             sender: p(1),
-            seq: Some(1),
+            seq: 1,
             order: DeliveryOrder::Fifo,
-            vclock: vclock.map(Arc::new),
             payload: Bytes::from(vec![0u8; payload_len]),
         }
     }
 
     #[test]
     fn data_wire_size_includes_payload() {
-        assert_eq!(data(100, None).wire_size(), HEADER_BYTES + 100);
-    }
-
-    #[test]
-    fn causal_data_pays_for_vclock() {
-        let mut vc = VectorClock::new();
-        vc.set(p(1), 1);
-        vc.set(p(2), 3);
-        assert_eq!(
-            data(10, Some(vc)).wire_size(),
-            HEADER_BYTES + 10 + 2 * PAIR_BYTES
-        );
+        assert_eq!(data(100).wire_size(), HEADER_BYTES + 100);
     }
 
     #[test]
@@ -539,7 +490,7 @@ mod tests {
         let msgs = vec![
             GroupMsg::Data(DataMsg {
                 group: g,
-                ..data(0, None)
+                ..data(0)
             }),
             GroupMsg::Heartbeat {
                 group: g,
@@ -567,7 +518,6 @@ mod tests {
         let m = GroupMsg::InstallView {
             group: GroupId(0),
             view: View::new(ViewId(1), vec![p(1), p(2)]),
-            causal_after: Arc::new(VectorClock::new()),
             next_global: 5,
         };
         assert!(m.wire_size() >= HEADER_BYTES);
@@ -575,7 +525,7 @@ mod tests {
 
     #[test]
     fn batch_amortizes_the_header() {
-        let msgs: Vec<DataMsg> = (0..8).map(|_| data(64, None)).collect();
+        let msgs: Vec<DataMsg> = (0..8).map(|_| data(64)).collect();
         let separate: usize = msgs.iter().map(DataMsg::wire_size).sum();
         let batched = GroupMsg::DataBatch {
             group: GROUP,
@@ -589,7 +539,7 @@ mod tests {
 
     #[test]
     fn cloning_a_batch_shares_the_body() {
-        let msgs = Arc::new(vec![data(1024, None)]);
+        let msgs = Arc::new(vec![data(1024)]);
         let m = GroupMsg::DataBatch {
             group: GROUP,
             msgs: msgs.clone(),

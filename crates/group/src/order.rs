@@ -1,57 +1,29 @@
 //! Message delivery guarantees.
 //!
-//! Spread — the toolkit the paper deploys — offers four delivery guarantees:
-//! best effort, FIFO (by sender), causal and agreed (total) order. The
-//! replicator picks the guarantee per message: agreed order for requests
-//! under active replication and for the style-switch protocol, FIFO for
-//! checkpoints, best effort for monitoring gossip.
+//! Spread — the toolkit the paper deploys — offers several delivery
+//! guarantees; the replicator consumes two of them. Agreed (total) order
+//! carries requests, replies and the style-switch protocol, so every replica
+//! sees them in the same order; FIFO (by sender) carries checkpoints, which
+//! only need to arrive in the order the primary produced them.
 
 use std::fmt;
 
-/// The delivery guarantee requested for a multicast message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The delivery guarantee requested for a multicast message. Both are
+/// reliable: every message carries a per-sender sequence number and gaps are
+/// recovered by retransmission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeliveryOrder {
-    /// No guarantee: delivered on arrival, may be lost, duplicated ordering
-    /// is whatever the network produced.
-    BestEffort,
     /// Reliable, delivered in the order sent by each sender.
     Fifo,
-    /// Reliable, delivered respecting causal ("happened-before") precedence.
-    Causal,
     /// Reliable, all members deliver in one agreed total order (also
     /// FIFO- and gap-consistent). Spread calls this *agreed*/*total*.
     Agreed,
 }
 
-impl DeliveryOrder {
-    /// `true` for guarantees that require retransmission and gap detection.
-    pub fn is_reliable(self) -> bool {
-        !matches!(self, DeliveryOrder::BestEffort)
-    }
-
-    /// `true` if this order is at least as strong as `other`
-    /// (BestEffort < Fifo < Causal < Agreed).
-    pub fn at_least(self, other: DeliveryOrder) -> bool {
-        self >= other
-    }
-
-    /// All four orders, weakest first.
-    pub fn all() -> [DeliveryOrder; 4] {
-        [
-            DeliveryOrder::BestEffort,
-            DeliveryOrder::Fifo,
-            DeliveryOrder::Causal,
-            DeliveryOrder::Agreed,
-        ]
-    }
-}
-
 impl fmt::Display for DeliveryOrder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            DeliveryOrder::BestEffort => "best-effort",
             DeliveryOrder::Fifo => "fifo",
-            DeliveryOrder::Causal => "causal",
             DeliveryOrder::Agreed => "agreed",
         };
         f.write_str(s)
@@ -63,25 +35,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strength_is_totally_ordered() {
-        let all = DeliveryOrder::all();
-        for w in all.windows(2) {
-            assert!(w[1].at_least(w[0]));
-            assert!(!w[0].at_least(w[1]) || w[0] == w[1]);
-        }
-    }
-
-    #[test]
-    fn reliability_classes() {
-        assert!(!DeliveryOrder::BestEffort.is_reliable());
-        assert!(DeliveryOrder::Fifo.is_reliable());
-        assert!(DeliveryOrder::Causal.is_reliable());
-        assert!(DeliveryOrder::Agreed.is_reliable());
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(DeliveryOrder::Agreed.to_string(), "agreed");
-        assert_eq!(DeliveryOrder::BestEffort.to_string(), "best-effort");
+        assert_eq!(DeliveryOrder::Fifo.to_string(), "fifo");
     }
 }

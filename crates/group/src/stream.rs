@@ -1,12 +1,13 @@
 //! Per-sender receive streams: reliability, gap detection and per-class
 //! delivery cursors.
 //!
-//! Every reliable message from a member carries a per-sender sequence
-//! number. A `SenderStream` buffers the messages received from one
-//! sender, tracks the contiguously-received prefix (anything beyond it is a
-//! *gap* to NACK), and maintains one delivery cursor per delivery class so
-//! FIFO, causal and agreed traffic from the same sender progress
-//! independently without cross-class deadlock.
+//! Every message from a member carries a per-sender sequence number. A
+//! `SenderStream` buffers the messages received from one sender, tracks the
+//! contiguously-received prefix (anything beyond it is a *gap* to NACK), and
+//! keeps one delivery cursor per delivery class. A sender interleaves FIFO
+//! checkpoints with agreed traffic in one sequence; the FIFO cursor delivers
+//! a checkpoint as soon as it is contiguous, while the agreed cursor waits
+//! for the sequencer's order, so neither class blocks the other.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +26,6 @@ pub(crate) struct SenderStream {
     buffer: BTreeMap<u64, DataMsg>,
     /// Next sequence number each class cursor will examine.
     cursor_fifo: u64,
-    cursor_causal: u64,
     cursor_agreed: u64,
 }
 
@@ -42,7 +42,6 @@ impl SenderStream {
             max_received: 0,
             buffer: BTreeMap::new(),
             cursor_fifo: 1,
-            cursor_causal: 1,
             cursor_agreed: 1,
         }
     }
@@ -55,7 +54,6 @@ impl SenderStream {
             max_received: seq,
             buffer: BTreeMap::new(),
             cursor_fifo: seq + 1,
-            cursor_causal: seq + 1,
             cursor_agreed: seq + 1,
         }
     }
@@ -63,9 +61,7 @@ impl SenderStream {
     /// Accepts a received message. Returns `true` if it is new (not a
     /// duplicate and not already delivered-and-pruned).
     pub fn accept(&mut self, msg: DataMsg) -> bool {
-        let Some(seq) = msg.seq else {
-            return false; // best-effort traffic never enters streams
-        };
+        let seq = msg.seq;
         if seq < self.next_expected && !self.buffer.contains_key(&seq) {
             // Already contiguously received earlier (possibly pruned).
             return false;
@@ -130,18 +126,14 @@ impl SenderStream {
     pub fn cursor(&self, order: DeliveryOrder) -> u64 {
         match order {
             DeliveryOrder::Fifo => self.cursor_fifo,
-            DeliveryOrder::Causal => self.cursor_causal,
             DeliveryOrder::Agreed => self.cursor_agreed,
-            DeliveryOrder::BestEffort => 0,
         }
     }
 
     fn cursor_mut(&mut self, order: DeliveryOrder) -> &mut u64 {
         match order {
             DeliveryOrder::Fifo => &mut self.cursor_fifo,
-            DeliveryOrder::Causal => &mut self.cursor_causal,
             DeliveryOrder::Agreed => &mut self.cursor_agreed,
-            DeliveryOrder::BestEffort => unreachable!("best-effort has no cursor"),
         }
     }
 
@@ -178,12 +170,10 @@ impl SenderStream {
         *self.cursor_mut(order) += 1;
     }
 
-    /// The lowest of the three class cursors: nothing below it is
+    /// The lower of the two class cursors: nothing below it is
     /// undelivered.
     pub fn min_cursor(&self) -> u64 {
-        self.cursor_fifo
-            .min(self.cursor_causal)
-            .min(self.cursor_agreed)
+        self.cursor_fifo.min(self.cursor_agreed)
     }
 
     /// Prunes delivered messages with `seq ≤ stable` (stability-based GC).
@@ -218,8 +208,8 @@ impl SenderStream {
         self.buffer.len()
     }
 
-    /// Folds the full reception state — prefix, buffered messages and all
-    /// three class cursors — into an exploration digest.
+    /// Folds the full reception state — prefix, buffered messages and both
+    /// class cursors — into an exploration digest.
     pub fn fold_digest(&self, h: &mut vd_simnet::explore::Fnv64) {
         h.write_u64(self.next_expected);
         h.write_u64(self.max_received);
@@ -228,7 +218,6 @@ impl SenderStream {
             msg.fold_digest(h);
         }
         h.write_u64(self.cursor_fifo);
-        h.write_u64(self.cursor_causal);
         h.write_u64(self.cursor_agreed);
     }
 }
@@ -247,9 +236,8 @@ mod tests {
             group: GroupId(0),
             view_id: ViewId(0),
             sender: ProcessId(1),
-            seq: Some(seq),
+            seq,
             order,
-            vclock: None,
             payload: Bytes::new(),
         }
     }
@@ -287,8 +275,7 @@ mod tests {
         assert!(!s.accept(msg(1, DeliveryOrder::Fifo)));
         // Pruned-then-redelivered is also rejected.
         s.mark_delivered(DeliveryOrder::Fifo);
-        // Move the other cursors forward too so pruning may advance.
-        s.peek_class(DeliveryOrder::Causal);
+        // Move the agreed cursor forward too so pruning may advance.
         s.peek_class(DeliveryOrder::Agreed);
         s.prune(1);
         assert_eq!(s.buffered(), 0);
@@ -300,13 +287,15 @@ mod tests {
         let mut s = SenderStream::new();
         s.accept(msg(1, DeliveryOrder::Agreed));
         s.accept(msg(2, DeliveryOrder::Fifo));
-        s.accept(msg(3, DeliveryOrder::Causal));
+        s.accept(msg(3, DeliveryOrder::Agreed));
         // FIFO cursor finds seq 2 even though seq 1 (agreed) is undelivered.
         assert_eq!(s.peek_class(DeliveryOrder::Fifo), Some(2));
         s.mark_delivered(DeliveryOrder::Fifo);
         assert_eq!(s.peek_class(DeliveryOrder::Fifo), None);
         assert_eq!(s.peek_class(DeliveryOrder::Agreed), Some(1));
-        assert_eq!(s.peek_class(DeliveryOrder::Causal), Some(3));
+        s.mark_delivered(DeliveryOrder::Agreed);
+        // The agreed cursor skips the delivered FIFO message at seq 2.
+        assert_eq!(s.peek_class(DeliveryOrder::Agreed), Some(3));
     }
 
     #[test]
@@ -331,12 +320,11 @@ mod tests {
         s.mark_delivered(DeliveryOrder::Fifo);
         assert_eq!(s.peek_class(DeliveryOrder::Fifo), Some(2));
         s.mark_delivered(DeliveryOrder::Fifo);
-        // Other class cursors are at 1, so nothing can be pruned yet.
+        // The agreed cursor is at 1, so nothing can be pruned yet.
         s.prune(5);
         assert_eq!(s.buffered(), 5);
-        // Advance the other cursors past the fifo messages; the fifo cursor
+        // Advance the agreed cursor past the fifo messages; the fifo cursor
         // (at 3) now bounds pruning.
-        assert_eq!(s.peek_class(DeliveryOrder::Causal), None);
         assert_eq!(s.peek_class(DeliveryOrder::Agreed), None);
         s.prune(5);
         assert_eq!(s.buffered(), 3, "undelivered fifo 3..=5 retained");
@@ -349,7 +337,6 @@ mod tests {
         // But stability limits pruning even with cursors advanced.
         s.accept(msg(6, DeliveryOrder::Fifo));
         s.mark_delivered(DeliveryOrder::Fifo);
-        s.peek_class(DeliveryOrder::Causal);
         s.peek_class(DeliveryOrder::Agreed);
         s.prune(5);
         assert_eq!(s.buffered(), 1, "seq 6 not yet stable");
@@ -374,14 +361,5 @@ mod tests {
         assert_eq!(s.contiguous(), 10);
         assert!(s.gaps().is_empty());
         assert_eq!(s.cursor(DeliveryOrder::Fifo), 11);
-    }
-
-    #[test]
-    fn best_effort_never_buffered() {
-        let mut s = SenderStream::new();
-        let mut m = msg(0, DeliveryOrder::BestEffort);
-        m.seq = None;
-        assert!(!s.accept(m));
-        assert_eq!(s.buffered(), 0);
     }
 }

@@ -6,10 +6,12 @@
 //! it through reference counting. These tests enforce the contract with a
 //! counting global allocator — fanning a message out to N members must
 //! perform O(1) payload-sized allocations, not O(N).
+//!
+//! The count is kept per thread, so a test reads only the allocations its
+//! own thread made and the suite holds at any `--test-threads`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use bytes::Bytes;
 
@@ -30,15 +32,28 @@ const THRESHOLD: usize = PAYLOAD / 2;
 
 struct CountingAlloc;
 
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static PAYLOAD_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator below can use it.
+    static PAYLOAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts a payload-sized allocation against the calling thread.
+/// `try_with` skips allocations made while the thread's locals are being
+/// torn down.
+fn count_alloc(size: usize) {
+    if size >= THRESHOLD {
+        let _ = PAYLOAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+fn thread_payload_allocs() -> u64 {
+    PAYLOAD_ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= THRESHOLD {
-            PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -47,20 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if new_size >= THRESHOLD {
-            PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Tests measuring the counters take this lock so concurrent test threads
-/// do not pollute each other's deltas.
-static MEASURE: Mutex<()> = Mutex::new(());
 
 const GROUP: GroupId = GroupId(9);
 
@@ -80,16 +88,15 @@ fn send_count(outputs: &[Output]) -> usize {
 
 #[test]
 fn fan_out_payload_allocations_are_independent_of_group_size() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut payload_allocs = Vec::new();
     for n in [4u64, 64] {
         let mut e = member_endpoint(n, GroupConfig::default());
         let payload = Bytes::from(vec![0xABu8; PAYLOAD]);
-        let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
+        let before = thread_payload_allocs();
         let outputs = e
             .multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload)
             .unwrap();
-        let grew = PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before;
+        let grew = thread_payload_allocs() - before;
         assert_eq!(send_count(&outputs), n as usize - 1, "one frame per peer");
         payload_allocs.push(grew);
     }
@@ -105,11 +112,10 @@ fn fan_out_payload_allocations_are_independent_of_group_size() {
 
 #[test]
 fn batched_fan_out_builds_one_shared_frame() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let config = GroupConfig::default().batch_max_messages(8);
     let mut e = member_endpoint(64, config);
     let payload = Bytes::from(vec![0xCDu8; PAYLOAD]);
-    let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
+    let before = thread_payload_allocs();
     let mut outputs = Vec::new();
     for _ in 0..8 {
         outputs.extend(
@@ -117,7 +123,7 @@ fn batched_fan_out_builds_one_shared_frame() {
                 .unwrap(),
         );
     }
-    let grew = PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before;
+    let grew = thread_payload_allocs() - before;
     assert_eq!(
         grew, 0,
         "batching coalesces shared payloads; no payload-sized copies"
@@ -142,11 +148,10 @@ fn batched_fan_out_builds_one_shared_frame() {
 
 #[test]
 fn partial_batches_flush_on_the_timer_without_copies() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let config = GroupConfig::default().batch_max_messages(16);
     let mut e = member_endpoint(8, config);
     let payload = Bytes::from(vec![0xEFu8; PAYLOAD]);
-    let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
+    let before = thread_payload_allocs();
     for _ in 0..3 {
         let outputs = e
             .multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload.clone())
@@ -155,7 +160,7 @@ fn partial_batches_flush_on_the_timer_without_copies() {
     }
     let outputs = e.handle_timer(SimTime::ZERO, GroupTimer::BatchFlush);
     assert_eq!(
-        PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before,
+        thread_payload_allocs() - before,
         0,
         "flushing a partial batch copies no payloads"
     );

@@ -146,26 +146,39 @@ fn batch_frames_are_cheaper_on_the_wire_than_singles() {
 }
 
 #[test]
-fn a_full_causal_batch_preserves_causal_delivery() {
-    // Causal messages carry vector clocks; batching must not reorder or
-    // damage them.
+fn a_mixed_fifo_and_agreed_batch_preserves_send_order() {
+    // The replicator interleaves FIFO checkpoints with agreed traffic from
+    // one sender; batching must carry both classes in one frame without
+    // reordering them. `p(1)` is the sequencer, so its agreed sends are
+    // ordered as they are multicast.
     let (mut a, mut b) = pair(GroupConfig::default().batch_max_messages(4));
+    let orders = [
+        DeliveryOrder::Fifo,
+        DeliveryOrder::Agreed,
+        DeliveryOrder::Fifo,
+        DeliveryOrder::Agreed,
+    ];
     let mut frames = Vec::new();
-    for i in 0..4u8 {
+    for (i, &order) in orders.iter().enumerate() {
         frames.extend(frames_to_peer(
-            a.multicast(
-                SimTime::ZERO,
-                DeliveryOrder::Causal,
-                Bytes::from(vec![i; 8]),
-            )
-            .unwrap(),
+            a.multicast(SimTime::ZERO, order, Bytes::from(vec![i as u8; 8]))
+                .unwrap(),
         ));
     }
+    let batches: Vec<&GroupMsg> = frames
+        .iter()
+        .filter(|f| matches!(f, GroupMsg::DataBatch { .. } | GroupMsg::Data(_)))
+        .collect();
     assert_eq!(
-        frames.len(),
+        batches.len(),
         1,
-        "four causal sends coalesced into one frame"
+        "four mixed sends coalesced into one frame"
     );
+    let GroupMsg::DataBatch { msgs, .. } = batches[0] else {
+        panic!("expected a batch frame, got {:?}", batches[0]);
+    };
+    let batched: Vec<DeliveryOrder> = msgs.iter().map(|m| m.order).collect();
+    assert_eq!(batched, orders, "classes kept in send order");
     let delivered = deliver_all(&mut b, frames);
     assert_eq!(delivered.len(), 4);
     for (i, payload) in delivered.iter().enumerate() {

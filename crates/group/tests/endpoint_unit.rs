@@ -76,7 +76,7 @@ fn fifo_multicast_sends_one_copy_per_peer_and_self_delivers() {
     let sent = sends(&outputs);
     assert_eq!(sent.len(), 1, "one copy to the one peer");
     assert_eq!(sent[0].0, p(2));
-    assert!(matches!(sent[0].1, GroupMsg::Data(d) if d.seq == Some(1)));
+    assert!(matches!(sent[0].1, GroupMsg::Data(d) if d.seq == 1));
     assert_eq!(deliveries(&outputs), vec![b"x".to_vec()], "self-delivery");
 }
 
@@ -138,9 +138,8 @@ fn stale_view_data_is_dropped_silently() {
         group: GROUP,
         view_id: ViewId(0),
         sender: p(2),
-        seq: Some(1),
+        seq: 1,
         order: DeliveryOrder::Fifo,
-        vclock: None,
         payload: Bytes::from_static(b"old"),
     });
     // Force a's view forward by faking... simplest: deliver to a fresh
@@ -151,9 +150,8 @@ fn stale_view_data_is_dropped_silently() {
         group: GroupId(1234),
         view_id: ViewId(0),
         sender: p(2),
-        seq: Some(1),
+        seq: 1,
         order: DeliveryOrder::Fifo,
-        vclock: None,
         payload: Bytes::from_static(b"other-group"),
     });
     let outputs = a.handle_message(SimTime::ZERO, p(2), wrong_group);

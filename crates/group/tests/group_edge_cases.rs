@@ -177,41 +177,65 @@ fn shorter_failure_timeout_detects_faster() {
 }
 
 #[test]
-fn causal_and_agreed_coexist_in_one_group() {
+fn fifo_and_agreed_coexist_in_one_group() {
+    // Production mixes FIFO checkpoints and agreed traffic from one sender
+    // in one sequence: every member must deliver everything, agree on the
+    // agreed sub-transcript, and see each sender's FIFO messages in the
+    // order they were sent.
     let mut world = World::new(lan(3), 36);
     let pids = spawn_bootstrap(&mut world, 3, GroupConfig::default());
     world.run_for(SimDuration::from_millis(5));
-    for i in 0..10u32 {
-        let order = if i % 2 == 0 {
+    let n = 12u32;
+    let order_of = |i: u32| {
+        if i.is_multiple_of(2) {
             DeliveryOrder::Agreed
         } else {
-            DeliveryOrder::Causal
-        };
+            DeliveryOrder::Fifo
+        }
+    };
+    for i in 0..n {
         world.inject(
             pids[(i % 3) as usize],
             vd_group::sim::Command::Multicast {
-                order,
+                order: order_of(i),
                 payload: Bytes::copy_from_slice(&i.to_be_bytes()),
             },
         );
         world.run_for(SimDuration::from_micros(300));
     }
     world.run_for(SimDuration::from_millis(200));
-    for &pid in &pids {
-        let m = world.actor_ref::<GroupMemberActor>(pid).unwrap();
-        assert_eq!(m.deliveries.len(), 10, "member {pid} lost messages");
-        // Agreed sub-transcripts agree across members.
-    }
-    let agreed = |pid: ProcessId| -> Vec<Vec<u8>> {
+    let deliveries = |pid: ProcessId, order: DeliveryOrder| -> Vec<(ProcessId, Vec<u8>)> {
         world
             .actor_ref::<GroupMemberActor>(pid)
             .unwrap()
             .deliveries
             .iter()
-            .filter(|d| d.order == DeliveryOrder::Agreed)
-            .map(|d| d.payload.to_vec())
+            .filter(|d| d.order == order)
+            .map(|d| (d.sender, d.payload.to_vec()))
             .collect()
     };
+    for &pid in &pids {
+        let m = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        assert_eq!(m.deliveries.len(), n as usize, "member {pid} lost messages");
+        let fifo = deliveries(pid, DeliveryOrder::Fifo);
+        for (s, &sender) in pids.iter().enumerate() {
+            let got: Vec<Vec<u8>> = fifo
+                .iter()
+                .filter(|(from, _)| *from == sender)
+                .map(|(_, p)| p.clone())
+                .collect();
+            let sent: Vec<Vec<u8>> = (0..n)
+                .filter(|&i| i % 3 == s as u32 && order_of(i) == DeliveryOrder::Fifo)
+                .map(|i| i.to_be_bytes().to_vec())
+                .collect();
+            assert!(!sent.is_empty());
+            assert_eq!(
+                got, sent,
+                "member {pid}: {sender}'s FIFO stream out of order"
+            );
+        }
+    }
+    let agreed = |pid: ProcessId| deliveries(pid, DeliveryOrder::Agreed);
     assert_eq!(agreed(pids[0]), agreed(pids[1]));
     assert_eq!(agreed(pids[0]), agreed(pids[2]));
 }

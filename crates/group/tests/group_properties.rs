@@ -1,6 +1,6 @@
-//! Property tests for the group-communication toolkit: vector-clock laws,
-//! and protocol-level invariants (agreement, integrity, gap-freedom) over
-//! randomized schedules, loss rates and crash times.
+//! Property tests for the group-communication toolkit: protocol-level
+//! invariants (agreement, integrity, gap-freedom) over randomized
+//! schedules, loss rates and crash times.
 //!
 //! Cases are generated from a [`DeterministicRng`] with fixed seeds so every
 //! run explores the same schedules and failures reproduce exactly.
@@ -12,71 +12,8 @@ use bytes::Bytes;
 use vd_group::flush::{compute_cut_for_test, merge_assignments_for_test};
 use vd_group::message::{Assignment, FlushHoldings};
 use vd_group::prelude::*;
-use vd_group::vclock::VectorClock;
 use vd_simnet::prelude::*;
 use vd_simnet::rng::DeterministicRng;
-
-fn clock(entries: &[(u64, u64)]) -> VectorClock {
-    let mut c = VectorClock::new();
-    for &(m, v) in entries {
-        c.set(ProcessId(m % 8), v % 1000);
-    }
-    c
-}
-
-fn random_entries(rng: &mut DeterministicRng) -> Vec<(u64, u64)> {
-    let len = rng.gen_range_u64(0..=7) as usize;
-    (0..len).map(|_| (rng.next_u64(), rng.next_u64())).collect()
-}
-
-/// merge is commutative, associative and idempotent (a join semilattice),
-/// and the result dominates both inputs.
-#[test]
-fn vclock_merge_is_a_join() {
-    for case in 0..256u64 {
-        let mut rng = DeterministicRng::new(0x6C0C_0000 + case);
-        let a = clock(&random_entries(&mut rng));
-        let b = clock(&random_entries(&mut rng));
-        let c = clock(&random_entries(&mut rng));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "case {case}: commutative");
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "case {case}: associative");
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(aa, a, "case {case}: idempotent");
-        assert!(
-            ab.dominates(&a) && ab.dominates(&b),
-            "case {case}: join dominates"
-        );
-    }
-}
-
-/// dominates is a partial order: reflexive, antisymmetric, transitive.
-#[test]
-fn vclock_domination_is_a_partial_order() {
-    for case in 0..256u64 {
-        let mut rng = DeterministicRng::new(0x6C0C_1000 + case);
-        let a = clock(&random_entries(&mut rng));
-        let b = clock(&random_entries(&mut rng));
-        assert!(a.dominates(&a), "case {case}");
-        if a.dominates(&b) && b.dominates(&a) {
-            assert_eq!(a, b, "case {case}");
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        // ab ≥ a and a ≥ ... transitivity via the join.
-        assert!(ab.dominates(&a), "case {case}");
-    }
-}
 
 /// Runs a 3-member group under the given loss probability; `crash_at_ms`
 /// optionally kills one member mid-run. Returns each survivor's agreed-

@@ -27,15 +27,14 @@ use vd_core::style::ReplicationStyle;
 use vd_group::message::{Assignment, DataMsg, FlushHoldings, GroupId, GroupMsg};
 use vd_group::multi::{HeartbeatSection, ProcessHeartbeat};
 use vd_group::order::DeliveryOrder;
-use vd_group::vclock::VectorClock;
 use vd_group::view::{View, ViewId};
 use vd_orb::cdr::{DecodeError, Decoder, Encoder};
 use vd_orb::wire::OrbMessage;
 use vd_simnet::actor::{payload_ref, Payload};
 use vd_simnet::topology::ProcessId;
 
-/// The 4-byte datagram magic ("VDN" + format version 1).
-pub const MAGIC: [u8; 4] = *b"VDN1";
+/// The 4-byte datagram magic ("VDN" + format version 2).
+pub const MAGIC: [u8; 4] = *b"VDN2";
 
 /// One decoded datagram: who it is for, who sent it, and the payload.
 #[derive(Debug)]
@@ -215,39 +214,18 @@ fn get_view(dec: &mut Decoder) -> Result<View, DecodeError> {
     Ok(View::new(id, members))
 }
 
-fn put_vclock(enc: &mut Encoder, vc: &VectorClock) {
-    enc.put_u32(vc.len() as u32);
-    for (m, v) in vc.iter() {
-        enc.put_u64(m.0);
-        enc.put_u64(v);
-    }
-}
-
-fn get_vclock(dec: &mut Decoder) -> Result<VectorClock, DecodeError> {
-    let n = dec.get_u32()? as usize;
-    let mut vc = VectorClock::new();
-    for _ in 0..n {
-        let m = ProcessId(dec.get_u64()?);
-        let v = dec.get_u64()?;
-        vc.set(m, v);
-    }
-    Ok(vc)
-}
-
+// Tags 0 and 2 are retired (they named delivery classes the group layer no
+// longer offers) and decode as invalid.
 fn order_tag(order: DeliveryOrder) -> u8 {
     match order {
-        DeliveryOrder::BestEffort => 0,
         DeliveryOrder::Fifo => 1,
-        DeliveryOrder::Causal => 2,
         DeliveryOrder::Agreed => 3,
     }
 }
 
 fn order_from_tag(tag: u8) -> Result<DeliveryOrder, DecodeError> {
     match tag {
-        0 => Ok(DeliveryOrder::BestEffort),
         1 => Ok(DeliveryOrder::Fifo),
-        2 => Ok(DeliveryOrder::Causal),
         3 => Ok(DeliveryOrder::Agreed),
         other => Err(DecodeError::InvalidDiscriminant {
             what: "delivery order",
@@ -260,9 +238,8 @@ fn put_data_msg(enc: &mut Encoder, d: &DataMsg) {
     enc.put_u32(d.group.0);
     enc.put_u64(d.view_id.0);
     enc.put_u64(d.sender.0);
-    enc.put_option(d.seq, |e, s| e.put_u64(s));
+    enc.put_u64(d.seq);
     enc.put_u8(order_tag(d.order));
-    enc.put_option(d.vclock.as_deref(), put_vclock);
     enc.put_bytes(&d.payload);
 }
 
@@ -271,9 +248,8 @@ fn get_data_msg(dec: &mut Decoder) -> Result<DataMsg, DecodeError> {
         group: GroupId(dec.get_u32()?),
         view_id: ViewId(dec.get_u64()?),
         sender: ProcessId(dec.get_u64()?),
-        seq: dec.get_option(|d| d.get_u64())?,
+        seq: dec.get_u64()?,
         order: order_from_tag(dec.get_u8()?)?,
-        vclock: dec.get_option(get_vclock)?.map(Arc::new),
         payload: dec.get_bytes()?,
     })
 }
@@ -424,13 +400,11 @@ fn put_group_msg(enc: &mut Encoder, msg: &GroupMsg) {
         GroupMsg::InstallView {
             group,
             view,
-            causal_after,
             next_global,
         } => {
             enc.put_u8(14);
             enc.put_u32(group.0);
             put_view(enc, view);
-            put_vclock(enc, causal_after);
             enc.put_u64(*next_global);
         }
     }
@@ -534,7 +508,6 @@ fn get_group_msg(dec: &mut Decoder) -> Result<GroupMsg, DecodeError> {
         14 => Ok(GroupMsg::InstallView {
             group: GroupId(dec.get_u32()?),
             view: get_view(dec)?,
-            causal_after: Arc::new(get_vclock(dec)?),
             next_global: dec.get_u64()?,
         }),
         other => Err(DecodeError::InvalidDiscriminant {
@@ -672,17 +645,13 @@ mod tests {
         assert!(payload.digest().is_some(), "fixture must have a digest");
     }
 
-    fn sample_data(seq: Option<u64>, order: DeliveryOrder, vclock: bool) -> DataMsg {
-        let mut vc = VectorClock::new();
-        vc.set(ProcessId(1), 4);
-        vc.set(ProcessId(2), 9);
+    fn sample_data(seq: u64, order: DeliveryOrder) -> DataMsg {
         DataMsg {
             group: GroupId(5),
             view_id: ViewId(3),
             sender: ProcessId(2),
             seq,
             order,
-            vclock: vclock.then(|| Arc::new(vc)),
             payload: Bytes::from_static(b"versatile"),
         }
     }
@@ -690,8 +659,6 @@ mod tests {
     #[test]
     fn every_group_msg_variant_round_trips() {
         let view = View::new(ViewId(9), vec![ProcessId(1), ProcessId(2), ProcessId(4)]);
-        let mut causal = VectorClock::new();
-        causal.set(ProcessId(4), 17);
         let assignments = vec![
             Assignment {
                 global_seq: 10,
@@ -705,15 +672,15 @@ mod tests {
             },
         ];
         let msgs: Vec<GroupMsg> = vec![
-            GroupMsg::Data(sample_data(Some(8), DeliveryOrder::Agreed, false)),
+            GroupMsg::Data(sample_data(8, DeliveryOrder::Agreed)),
             GroupMsg::DataBatch {
                 group: GroupId(5),
                 msgs: Arc::new(vec![
-                    sample_data(Some(1), DeliveryOrder::Fifo, false),
-                    sample_data(Some(2), DeliveryOrder::Causal, true),
+                    sample_data(1, DeliveryOrder::Fifo),
+                    sample_data(2, DeliveryOrder::Agreed),
                 ]),
             },
-            GroupMsg::Retransmit(sample_data(None, DeliveryOrder::BestEffort, false)),
+            GroupMsg::Retransmit(sample_data(4, DeliveryOrder::Fifo)),
             GroupMsg::Heartbeat {
                 group: GroupId(5),
                 view_id: ViewId(3),
@@ -770,12 +737,42 @@ mod tests {
             GroupMsg::InstallView {
                 group: GroupId(5),
                 view,
-                causal_after: Arc::new(causal),
                 next_global: 23,
             },
         ];
         for msg in &msgs {
             digest_survives(msg);
+        }
+    }
+
+    #[test]
+    fn retired_order_tags_are_rejected() {
+        let encode = |order| {
+            let msg = GroupMsg::Data(sample_data(8, order));
+            match encode_frame(ProcessId(1), ProcessId(2), &msg) {
+                Some(b) => b.to_vec(),
+                None => panic!("group messages encode"),
+            }
+        };
+        // The two frames differ only in the order tag byte.
+        let fifo = encode(DeliveryOrder::Fifo);
+        let agreed = encode(DeliveryOrder::Agreed);
+        assert_eq!(fifo.len(), agreed.len());
+        let diff: Vec<usize> = (0..fifo.len()).filter(|&i| fifo[i] != agreed[i]).collect();
+        assert_eq!(diff.len(), 1, "exactly one byte carries the order");
+        let at = diff[0];
+        assert_eq!((fifo[at], agreed[at]), (1, 3));
+        for retired in [0u8, 2] {
+            let mut bytes = fifo.clone();
+            bytes[at] = retired;
+            match decode_frame(Bytes::from(bytes)) {
+                Err(DecodeError::InvalidDiscriminant { what, tag }) => {
+                    assert_eq!(what, "delivery order");
+                    assert_eq!(tag, u64::from(retired));
+                }
+                Err(e) => panic!("tag {retired}: unexpected error {e:?}"),
+                Ok(_) => panic!("tag {retired} must not decode"),
+            }
         }
     }
 

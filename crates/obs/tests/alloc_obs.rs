@@ -6,20 +6,36 @@
 //! bytes. Only construction and export may touch the heap. Enforced
 //! here with a counting global allocator, the same pattern as
 //! `crates/group/tests/alloc_fanout.rs`.
+//!
+//! The count is kept per thread, so a test reads only the allocations its
+//! own thread made and the suite holds at any `--test-threads`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use vd_obs::{Ctr, Event, EventKind, Gauge, Hist, Obs, SmallStr, SwitchPhase, TraceSink};
 
 struct CountingAlloc;
 
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator below can use it.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread. `try_with` skips
+/// allocations made while the thread's locals are being torn down.
+fn count_alloc() {
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -28,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,14 +52,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tests measuring the counter take this lock so concurrent test
-/// threads do not pollute each other's deltas.
-static MEASURE: Mutex<()> = Mutex::new(());
-
+/// Allocations the calling thread makes while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = TOTAL_ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     f();
-    TOTAL_ALLOCS.load(Ordering::Relaxed) - before
+    thread_allocs() - before
 }
 
 fn sample_event(t: u64) -> Event {
@@ -62,7 +75,6 @@ fn sample_event(t: u64) -> Event {
 #[test]
 fn disabled_sink_emit_allocates_nothing() {
     let obs = Obs::disabled();
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for t in 0..10_000 {
             obs.emit(t, 7, sample_event(t).kind);
@@ -78,7 +90,6 @@ fn enabled_sink_emit_allocates_nothing() {
     // phase (push within reserved capacity) and the wrap phase
     // (overwrite oldest).
     let sink = TraceSink::with_capacity(1024);
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for t in 0..10_000 {
             sink.emit(sample_event(t));
@@ -92,7 +103,6 @@ fn enabled_sink_emit_allocates_nothing() {
 #[test]
 fn metric_recording_allocates_nothing() {
     let obs = Obs::disabled();
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for i in 0..10_000u64 {
             obs.metrics.incr(Ctr::GroupSends);

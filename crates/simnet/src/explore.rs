@@ -267,8 +267,8 @@ where
         explore_sequential(&factory, config, &invariant)
     };
     if let (Some(violation), Some(path)) = (&report.violation, &config.replay_file) {
-        // Persistence is best-effort: a read-only filesystem must not mask
-        // the violation itself.
+        // Persisting is optional: a failed write (a read-only filesystem,
+        // say) must not mask the violation itself.
         let _ = append_counterexample(path, "explore", violation);
     }
     report
