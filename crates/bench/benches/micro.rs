@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the substrate hot paths: marshaling, the event queue, the group endpoint's multicast/delivery path, the
-//! replication engine, checkpoint capture and the scalability planner.
+//! replication engine, checkpoint capture, delta and apply, and the scalability planner.
 
 use bytes::Bytes;
 
 use vd_bench::harness::Bench;
 use vd_core::engine::Engine;
 use vd_core::policy::{plan_scalability, ConfigMeasurement, ScalabilityRequirements};
-use vd_core::state::ReplicatedApplication;
+use vd_core::state::{apply_delta, diff_state, ReplicatedApplication};
 use vd_core::style::ReplicationStyle;
 use vd_group::config::GroupConfig;
 use vd_group::endpoint::Endpoint;
@@ -137,6 +137,17 @@ fn bench_checkpoint(bench: &Bench) {
         let mut fresh = vd_bench::workload::PaddedApp::new(64 * 1024, 64, 15);
         fresh.restore_state(&snapshot);
         fresh
+    });
+    // Two snapshots a few invocations apart, as one checkpoint interval
+    // of the warm-passive testbed leaves them.
+    for _ in 0..4 {
+        let _ = app.invoke("x", &Bytes::new());
+    }
+    let next = app.capture_state();
+    bench.run("checkpoint_diff_64k", || diff_state(&snapshot, &next));
+    let delta = diff_state(&snapshot, &next);
+    bench.run("checkpoint_apply_delta_64k", || {
+        apply_delta(&snapshot, &delta).expect("delta applies to its base")
     });
 }
 

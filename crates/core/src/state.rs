@@ -125,13 +125,21 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// Equal bytes a run absorbs before a later difference: a gap of up to
+/// this many unchanged bytes costs no more than the 8-byte header of a
+/// second run, so one longer run replaces two.
+const MAX_ABSORBED_GAP: usize = 8;
+
 /// Encodes the byte runs where `new` differs from `old` into a delta that
 /// [`apply_delta`] can replay on top of `old`.
 ///
 /// Format: `new_len: u32`, then runs of `(offset: u32, len: u32, bytes)`.
-/// States that changed length are encoded as one whole-state run (the diff
-/// degenerates gracefully instead of failing).
+/// A run ends at the last differing byte before a stretch of more than
+/// 8 equal bytes (or the end of the state). States that changed length are
+/// encoded as one whole-state run (the diff degenerates gracefully instead
+/// of failing).
 pub fn diff_state(old: &Bytes, new: &Bytes) -> Bytes {
+    let (old, new) = (old.as_slice(), new.as_slice());
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&(new.len() as u32).to_le_bytes());
     if old.len() != new.len() {
@@ -140,34 +148,56 @@ pub fn diff_state(old: &Bytes, new: &Bytes) -> Bytes {
         out.extend_from_slice(new);
         return Bytes::from(out);
     }
-    let mut i = 0;
-    let n = new.len();
-    while i < n {
-        if old[i] == new[i] {
-            i += 1;
-            continue;
-        }
-        // Extend the run while bytes differ, absorbing gaps shorter than
-        // the 8-byte run header (one longer run beats two headers).
-        let start = i;
-        let mut end = i + 1;
-        let mut scan = end;
-        while scan < n {
-            if old[scan] != new[scan] {
-                end = scan + 1;
-                scan = end;
-            } else if scan - end < 8 {
-                scan += 1;
-            } else {
-                break;
-            }
+    let mut next = first_difference(old, new, 0);
+    while let Some(start) = next {
+        // Extend the run while the next difference lies within the
+        // absorbable gap; the first one beyond it starts the next run.
+        let mut end = start + 1;
+        next = first_difference(old, new, end);
+        while let Some(at) = next.filter(|&at| at - end <= MAX_ABSORBED_GAP) {
+            end = at + 1;
+            next = first_difference(old, new, end);
         }
         out.extend_from_slice(&(start as u32).to_le_bytes());
         out.extend_from_slice(&((end - start) as u32).to_le_bytes());
         out.extend_from_slice(&new[start..end]);
-        i = end;
     }
     Bytes::from(out)
+}
+
+/// Index of the first byte at or after `from` where `a` and `b` (of equal
+/// length) differ. Equal stretches are skipped 32 bytes per compare; a
+/// differing 8-byte word is resolved to its byte by the XOR's lowest set
+/// bit. Only a tail shorter than 8 bytes is compared byte by byte.
+fn first_difference(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
+    const BLOCK: usize = 32;
+    const WORD: usize = 8;
+    let (a, b) = (&a[from..], &b[from..]);
+    let mut at = 0;
+    while a.len() - at >= BLOCK && a[at..at + BLOCK] == b[at..at + BLOCK] {
+        at += BLOCK;
+    }
+    while a.len() - at >= WORD {
+        let x = word(a, at) ^ word(b, at);
+        if x != 0 {
+            return Some(from + at + (x.trailing_zeros() / 8) as usize);
+        }
+        at += WORD;
+    }
+    a[at..]
+        .iter()
+        .zip(&b[at..])
+        .position(|(x, y)| x != y)
+        .map(|p| from + at + p)
+}
+
+/// The little-endian `u64` at `at` (byte `at` is the low byte, so the
+/// lowest set bit of an XOR names the first differing byte).
+#[inline]
+fn word(s: &[u8], at: usize) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&s[at..at + 8]);
+    u64::from_le_bytes(raw)
 }
 
 /// Applies a delta produced by [`diff_state`] to `base`, yielding the new
@@ -180,15 +210,16 @@ pub fn diff_state(old: &Bytes, new: &Bytes) -> Bytes {
 /// The chain rule — apply deltas in version order on the exact base — is
 /// the caller's responsibility; version bookkeeping lives in the engine.
 pub fn apply_delta(base: &Bytes, delta: &Bytes) -> Result<Bytes, DeltaError> {
-    let header = delta.get(0..4).ok_or(DeltaError::Malformed)?;
+    let raw = delta.as_slice();
+    let header = raw.get(0..4).ok_or(DeltaError::Malformed)?;
     let new_len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
     let mut pos = 4;
     // A whole-state run replaces the base outright (length-change case).
-    if let Some(run) = delta.get(4..12) {
+    if let Some(run) = raw.get(4..12) {
         let off = u32::from_le_bytes([run[0], run[1], run[2], run[3]]) as usize;
         let len = u32::from_le_bytes([run[4], run[5], run[6], run[7]]) as usize;
         if off == 0 && len == new_len && new_len != base.len() {
-            if delta.len() != 12 + len {
+            if raw.len() != 12 + len {
                 return Err(DeltaError::Malformed);
             }
             return Ok(delta.slice(12..12 + len));
@@ -200,13 +231,14 @@ pub fn apply_delta(base: &Bytes, delta: &Bytes) -> Result<Bytes, DeltaError> {
             actual: base.len(),
         });
     }
+    // The one copy of the base, made into the buffer the result takes over.
     let mut out = base.to_vec();
-    while pos < delta.len() {
-        let run = delta.get(pos..pos + 8).ok_or(DeltaError::Malformed)?;
+    while pos < raw.len() {
+        let run = raw.get(pos..pos + 8).ok_or(DeltaError::Malformed)?;
         let off = u32::from_le_bytes([run[0], run[1], run[2], run[3]]) as usize;
         let len = u32::from_le_bytes([run[4], run[5], run[6], run[7]]) as usize;
         pos += 8;
-        let bytes = delta.get(pos..pos + len).ok_or(DeltaError::Malformed)?;
+        let bytes = raw.get(pos..pos + len).ok_or(DeltaError::Malformed)?;
         let target = out.get_mut(off..off + len).ok_or(DeltaError::Malformed)?;
         target.copy_from_slice(bytes);
         pos += len;

@@ -188,3 +188,172 @@ fn checkpoint_frames_with_random_deltas_round_trip() {
         assert_eq!(ReplicatorMsg::decode(encoded).unwrap(), msg);
     }
 }
+
+/// The original byte-at-a-time encoder, kept as the oracle the chunked
+/// [`diff_state`] must match byte for byte: a run absorbs a gap of up to
+/// 8 equal bytes before the next difference.
+fn bytewise_diff(old: &[u8], new: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(new.len() as u32).to_le_bytes());
+    if old.len() != new.len() {
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&(new.len() as u32).to_le_bytes());
+        out.extend_from_slice(new);
+        return out;
+    }
+    let mut i = 0;
+    let n = new.len();
+    while i < n {
+        if old[i] == new[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut end = i + 1;
+        let mut scan = end;
+        while scan < n {
+            if old[scan] != new[scan] {
+                end = scan + 1;
+                scan = end;
+            } else if scan - end < 8 {
+                scan += 1;
+            } else {
+                break;
+            }
+        }
+        out.extend_from_slice(&(start as u32).to_le_bytes());
+        out.extend_from_slice(&((end - start) as u32).to_le_bytes());
+        out.extend_from_slice(&new[start..end]);
+        i = end;
+    }
+    out
+}
+
+/// Asserts that `diff_state(old, new)` equals the oracle's delta and that
+/// applying it to `old` yields `new`.
+fn assert_matches_oracle(old: &[u8], new: &[u8], case: &str) {
+    let (old_b, new_b) = (Bytes::copy_from_slice(old), Bytes::copy_from_slice(new));
+    let delta = diff_state(&old_b, &new_b);
+    assert_eq!(
+        delta.as_slice(),
+        bytewise_diff(old, new).as_slice(),
+        "{case}: delta differs from the bytewise encoder"
+    );
+    assert_eq!(
+        apply_delta(&old_b, &delta).unwrap_or_else(|e| panic!("{case}: {e}")),
+        new_b,
+        "{case}: delta does not reproduce the new state"
+    );
+}
+
+/// `base` with the bytes at `at` flipped.
+fn flipped(base: &[u8], at: &[usize]) -> Vec<u8> {
+    let mut v = base.to_vec();
+    for &i in at {
+        v[i] ^= 0xA5;
+    }
+    v
+}
+
+#[test]
+fn chunked_diff_matches_the_bytewise_encoder_on_random_pairs() {
+    let mut rng = DeterministicRng::new(0xD1FF);
+    for round in 0..400 {
+        let len = rng.gen_range_u64(0..=5000) as usize;
+        let old: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut new = old.clone();
+        match round % 4 {
+            // Scattered single-byte writes.
+            0 => mutate(&mut new, &mut rng),
+            // Clustered writes: short bursts with gaps around the 8-byte
+            // absorption limit.
+            1 if len > 0 => {
+                let mut at = rng.gen_range_u64(0..=(len as u64 - 1)) as usize;
+                for _ in 0..rng.gen_range_u64(1..=12) {
+                    if at >= len {
+                        break;
+                    }
+                    new[at] = new[at].wrapping_add(1 + rng.gen_range_u64(0..=254) as u8);
+                    at += 1 + rng.gen_range_u64(0..=12) as usize;
+                }
+            }
+            // Dense rewrite of a random window.
+            2 if len > 0 => {
+                let from = rng.gen_range_u64(0..=(len as u64 - 1)) as usize;
+                let to = (from + rng.gen_range_u64(0..=200) as usize).min(len);
+                for b in &mut new[from..to] {
+                    *b = rng.next_u64() as u8;
+                }
+            }
+            _ => {}
+        }
+        assert_matches_oracle(&old, &new, &format!("round {round} (len {len})"));
+    }
+}
+
+#[test]
+fn chunked_diff_matches_the_bytewise_encoder_on_edge_cases() {
+    let base: Vec<u8> = (0..4097u32).map(|i| (i * 31 % 251) as u8).collect();
+    let zeros = vec![0u8; 256];
+
+    // Lengths around the chunk widths, identical and with the first and
+    // last byte changed.
+    for len in [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 4097] {
+        let old = &base[..len];
+        assert_matches_oracle(old, old, &format!("identical, len {len}"));
+        if len > 0 {
+            assert_matches_oracle(old, &flipped(old, &[0]), &format!("first byte, len {len}"));
+            assert_matches_oracle(
+                old,
+                &flipped(old, &[len - 1]),
+                &format!("last byte, len {len}"),
+            );
+            assert_matches_oracle(
+                old,
+                &flipped(old, &[0, len - 1]),
+                &format!("first and last byte, len {len}"),
+            );
+        }
+    }
+
+    // Equal gaps of 7, 8 and 9 bytes between two changes: up to 8 are
+    // absorbed into one run, 9 start a second run.
+    for gap in [7, 8, 9] {
+        for first in [0, 5, 24, 31, 32, 60] {
+            let new = flipped(&zeros, &[first, first + gap + 1]);
+            assert_matches_oracle(&zeros, &new, &format!("gap {gap} after byte {first}"));
+        }
+    }
+    let absorbed = diff_state(
+        &Bytes::from(zeros.clone()),
+        &Bytes::from(flipped(&zeros, &[10, 19])),
+    );
+    assert_eq!(absorbed.len(), 4 + 8 + 10, "an 8-byte gap joins the runs");
+    let split = diff_state(
+        &Bytes::from(zeros.clone()),
+        &Bytes::from(flipped(&zeros, &[10, 20])),
+    );
+    assert_eq!(split.len(), 4 + 2 * (8 + 1), "a 9-byte gap splits the runs");
+
+    // Runs straddling the 8- and 32-byte chunk boundaries.
+    for boundary in [8, 16, 32, 64, 96, 128] {
+        for width in [1, 2, 9, 33] {
+            let from = boundary - width.min(boundary) / 2 - 1;
+            let at: Vec<usize> = (from..from + width).collect();
+            assert_matches_oracle(
+                &zeros,
+                &flipped(&zeros, &at),
+                &format!("run of {width} across byte {boundary}"),
+            );
+        }
+    }
+    // A chain of changes each 8 bytes apart crosses many chunks as one run.
+    let chain: Vec<usize> = (3..250).step_by(9).collect();
+    assert_matches_oracle(&zeros, &flipped(&zeros, &chain), "chain of 8-byte gaps");
+
+    // A length change is one whole-state run.
+    assert_matches_oracle(&base[..63], &base[..65], "grow 63 -> 65");
+    assert_matches_oracle(&base[..65], &base[..1], "shrink 65 -> 1");
+    assert_matches_oracle(&base[..4097], &[], "shrink to empty");
+    assert_matches_oracle(&[], &base[..63], "grow from empty");
+}
